@@ -206,8 +206,7 @@ func inspectTxn(addr string, asJSON bool) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(st)
 	}
-	fmt.Printf("committed=%d aborted=%d timeouts=%d writeConflicts=%d gcReclaimed=%d\n",
-		st.Committed, st.Aborted, st.Timeouts, st.WriteConflicts, st.GCReclaimed)
+	fmt.Print(st)
 	return nil
 }
 
@@ -238,27 +237,7 @@ func inspectPool(addr string, asJSON bool) error {
 		fmt.Println("no buffer pool (server runs fully in memory)")
 		return nil
 	}
-	fmt.Printf("pool: frames=%d resident=%d dirty=%d hit-ratio=%.1f%% (hits=%d misses=%d) load-waits=%d evictions=%d writebacks=%d\n",
-		st.Capacity, st.Resident, st.Dirty, 100*st.HitRatio(), st.Hits, st.Misses, st.LoadWaits, st.Evictions, st.Writebacks)
-	if len(st.Shards) > 1 {
-		fmt.Printf("shards: %d\n", len(st.Shards))
-		for i, sh := range st.Shards {
-			fmt.Printf("  shard %-3d frames=%-4d resident=%-4d hits=%d misses=%d evictions=%d\n",
-				i, sh.Capacity, sh.Resident, sh.Hits, sh.Misses, sh.Evictions)
-		}
-	}
-	fmt.Printf("heap: spilled-tables=%d pinned-relations=%d pages=%d free-pages=%d reclaimed=%d dead-slots=%d\n",
-		st.SpilledTables, st.PinnedTables, st.HeapPages, st.FreePages, st.ReclaimedPages, st.DeadSlots)
-	for _, t := range st.Tables {
-		fmt.Printf("  %-24s %d page(s)", t.Name, t.Pages)
-		if t.FreePages > 0 {
-			fmt.Printf("  free-pages=%d", t.FreePages)
-		}
-		if t.DeadSlots > 0 {
-			fmt.Printf("  dead-slots=%d", t.DeadSlots)
-		}
-		fmt.Println()
-	}
+	fmt.Print(st)
 	return nil
 }
 

@@ -26,8 +26,8 @@
 // BEGIN/COMMIT/ROLLBACK open interactive transactions.
 //
 // The -json flag switches the introspection meta commands (\stats,
-// \shards, \pending, \wal) to machine-readable JSON — the same typed
-// snapshots the wire protocol v2 admin surface serves.
+// \shards, \pending, \wal, \txn, \repl, \pool) to machine-readable JSON —
+// the same typed snapshots the wire protocol v2 admin surface serves.
 //
 // Usage:
 //
@@ -61,7 +61,7 @@ func main() {
 	poolPages := flag.Int("pool-pages", 0, "buffer-pool frames of 8 KiB; >0 pages cold tables to disk")
 	poolShards := flag.Int("pool-shards", 0, "buffer-pool shards; 0 auto-sizes")
 	pin := flag.String("pin", "", "comma-separated relations kept fully in memory with -pool-pages")
-	jsonOut := flag.Bool("json", false, "render \\stats/\\shards/\\pending/\\wal/\\txn as JSON")
+	jsonOut := flag.Bool("json", false, "render \\stats/\\shards/\\pending/\\wal/\\txn/\\repl/\\pool as JSON")
 	flag.Parse()
 	metaJSON = *jsonOut
 
@@ -234,8 +234,7 @@ func meta(cli *session, sys *core.System, cmd string) bool {
 			printJSON(st)
 			break
 		}
-		fmt.Printf("committed=%d aborted=%d timeouts=%d writeConflicts=%d gcReclaimed=%d\n",
-			st.Committed, st.Aborted, st.Timeouts, st.WriteConflicts, st.GCReclaimed)
+		fmt.Print(st)
 	case `\wal`:
 		st, ok := sys.WALStatsSnapshot()
 		if !ok {
@@ -264,27 +263,7 @@ func meta(cli *session, sys *core.System, cmd string) bool {
 			printJSON(st)
 			break
 		}
-		fmt.Printf("pool: frames=%d resident=%d dirty=%d hit-ratio=%.1f%% (hits=%d misses=%d) load-waits=%d evictions=%d writebacks=%d\n",
-			st.Capacity, st.Resident, st.Dirty, 100*st.HitRatio(), st.Hits, st.Misses, st.LoadWaits, st.Evictions, st.Writebacks)
-		if len(st.Shards) > 1 {
-			fmt.Printf("shards: %d\n", len(st.Shards))
-			for i, sh := range st.Shards {
-				fmt.Printf("  shard %-3d frames=%-4d resident=%-4d hits=%d misses=%d evictions=%d\n",
-					i, sh.Capacity, sh.Resident, sh.Hits, sh.Misses, sh.Evictions)
-			}
-		}
-		fmt.Printf("heap: spilled-tables=%d pinned-relations=%d pages=%d free-pages=%d reclaimed=%d dead-slots=%d\n",
-			st.SpilledTables, st.PinnedTables, st.HeapPages, st.FreePages, st.ReclaimedPages, st.DeadSlots)
-		for _, t := range st.Tables {
-			fmt.Printf("  %-24s %d page(s)", t.Name, t.Pages)
-			if t.FreePages > 0 {
-				fmt.Printf("  free-pages=%d", t.FreePages)
-			}
-			if t.DeadSlots > 0 {
-				fmt.Printf("  dead-slots=%d", t.DeadSlots)
-			}
-			fmt.Println()
-		}
+		fmt.Print(st)
 	case `\dot`:
 		fmt.Print(sys.Coordinator().DOT())
 	case `\why`:

@@ -2,8 +2,8 @@
 // middle tier connects to over TCP — the deployment shape of the paper's
 // three-tier demo architecture (Figure 2). Connections speak wire protocol
 // v2 (length-prefixed binary frames, multiplexed requests, typed admin
-// responses); legacy line-delimited JSON clients are auto-detected by their
-// first byte and served by the old codec. See internal/server.
+// responses); a connection that opens with anything else is refused. See
+// internal/server.
 //
 // Inspect a running server with `youtopia-admin -connect ADDR [-json]`;
 // load it with `loadgen -net ADDR`.
@@ -19,8 +19,8 @@
 // than RAM stay queryable; -pin names hot relations kept fully resident.
 // Inspect the pool live with `youtopia-admin -connect ADDR -pool`.
 //
-// With -wal the database is durably logged (segmented binary format v2,
-// legacy JSON logs migrated in place) and recovered on restart; -walsync
+// With -wal the database is durably logged (segmented binary format v2; a
+// v1 JSON log is refused) and recovered on restart; -walsync
 // additionally group-commits an fsync at every statement boundary.
 //
 // Replication (requires -wal): -repl-listen serves the WAL-shipping stream

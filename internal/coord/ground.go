@@ -97,10 +97,11 @@ func (sc *groundScratch) envFor(st *matchState, qid uint64, classOf map[eq.Scope
 // nothing yet (delivery happens after commit, in the coordinator).
 //
 // Grounding and installation run inside one transaction: generator
-// subqueries take shared locks on the base tables they read and the
-// installation takes exclusive locks on the answer relations, so the
-// coordinated answers are consistent with the database state they were
-// justified by — the paper's joint, atomic evaluation of matched queries.
+// subqueries read the base tables at the transaction's snapshot and the
+// installation takes exclusive locks on the answer relations and commits
+// at one timestamp, so the coordinated answers are consistent with the
+// database state they were justified by — the paper's joint, atomic
+// evaluation of matched queries.
 func (c *Coordinator) ground(sh *coordShard, st *matchState) (*installResult, bool) {
 	sh.stats.GroundingAttempts.Add(1)
 	var res *installResult

@@ -50,8 +50,7 @@ type Config struct {
 	//
 	// The path names a directory of binary log segments (format v2:
 	// length-prefixed, CRC32C-checksummed records; size-based rotation). A
-	// legacy single-file JSON log found at this path is migrated in place on
-	// open and absorbed by the next compaction.
+	// v1 JSON log at this path is refused with wal.ErrV1Log.
 	WALPath string
 	// WALSync moves the durability point to a group-committed fsync:
 	// mutations stream into the log buffer and each API-level statement
@@ -356,8 +355,8 @@ func (w WALStats) String() string {
 		}
 		b.WriteString(")")
 	}
-	fmt.Fprintf(&b, "\nrecovery: segments=%d records=%d torn=%v migrated=%v\n",
-		w.Recovery.Segments, w.Recovery.Records, w.Recovery.Torn, w.Recovery.Migrated)
+	fmt.Fprintf(&b, "\nrecovery: segments=%d records=%d torn=%v\n",
+		w.Recovery.Segments, w.Recovery.Records, w.Recovery.Torn)
 	for _, s := range w.Segments {
 		state := "active"
 		switch {
@@ -366,11 +365,7 @@ func (w WALStats) String() string {
 		case s.Sealed:
 			state = "sealed"
 		}
-		kind := "v2"
-		if s.JSON {
-			kind = "json"
-		}
-		fmt.Fprintf(&b, "  segment %08d  %-8s %-4s %d bytes\n", s.Seq, state, kind, s.Bytes)
+		fmt.Fprintf(&b, "  segment %08d  %-8s %d bytes\n", s.Seq, state, s.Bytes)
 	}
 	return b.String()
 }
@@ -641,8 +636,3 @@ func (s *System) Catalog() *storage.Catalog { return s.cat }
 // committed/aborted/timeouts plus the MVCC first-committer-wins conflict and
 // GC-reclaimed-version totals (admin surface).
 func (s *System) TxnStats() txn.Stats { return s.mgr.Stats() }
-
-// TxnManager exposes the transaction manager, so benchmarks and tests can
-// flip compatibility knobs such as LockReads (the pre-MVCC shared-lock read
-// protocol) before driving load.
-func (s *System) TxnManager() *txn.Manager { return s.mgr }

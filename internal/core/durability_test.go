@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,8 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/storage"
-	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -233,50 +232,38 @@ func TestRollbackCompensationsDurable(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONMigration: a system that logged with the pre-segmented JSON
-// WAL reopens through the new one, state intact, and keeps growing.
-func TestLegacyJSONMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "y.wal")
-
-	// Write an old-format log directly (the legacy API is kept exactly for
-	// this migration path).
-	cat := storage.NewCatalog()
-	w, err := wal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat.SetLog(func(r storage.LogRecord) { w.Append(r) }) //nolint:errcheck
-	tbl, err := cat.Create("Flights", value.NewSchema(
-		value.Col("fno", value.TypeInt), value.Col("dest", value.TypeString)), "fno")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.Insert(value.NewTuple(122, "Paris")) //nolint:errcheck
-	tbl.Insert(value.NewTuple(136, "Rome"))  //nolint:errcheck
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s := walSystem(t, path)
-	res, err := s.Query("SELECT fno FROM Flights ORDER BY fno")
-	if err != nil || len(res.Rows) != 2 {
-		t.Fatalf("migrated rows = %v, %v", res, err)
-	}
-	if st, ok := s.WALStatsSnapshot(); !ok || !st.Recovery.Migrated {
-		t.Errorf("migration not reported: %+v", st.Recovery)
-	}
-	if err := s.Exec("INSERT INTO Flights VALUES (140, 'Oslo')"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := walSystem(t, path)
-	defer s2.Close()
-	res, err = s2.Query("SELECT fno FROM Flights ORDER BY fno")
-	if err != nil || len(res.Rows) != 3 {
-		t.Errorf("post-migration rows = %v, %v", res, err)
+// TestV1LogRefused: NewSystem refuses every on-disk trace of a v1 JSON log
+// with wal.ErrV1Log and leaves the v1 file byte-identical where it was.
+func TestV1LogRefused(t *testing.T) {
+	const v1Line = `{"op":"create","table":"T","schema":[{"name":"x","type":"INT"}]}` + "\n"
+	for _, tc := range []struct {
+		name  string
+		v1For func(t *testing.T, path string) string // lays out the state, returns the v1 file
+	}{
+		{"file-at-path", func(t *testing.T, path string) string { return path }},
+		{"json-segment", func(t *testing.T, path string) string {
+			s := walSystem(t, path)
+			s.Exec("CREATE TABLE T (x INT)") //nolint:errcheck
+			s.Close()
+			return filepath.Join(path, "00000001.json")
+		}},
+		{"legacy-leftover", func(t *testing.T, path string) string { return path + ".legacy" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "y.wal")
+			v1 := tc.v1For(t, path)
+			if err := os.WriteFile(v1, []byte(v1Line), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := NewSystem(Config{WALPath: path})
+			defer s.Close()
+			if err := s.Err(); !errors.Is(err, wal.ErrV1Log) {
+				t.Fatalf("NewSystem err = %v, want wal.ErrV1Log", err)
+			}
+			if got, err := os.ReadFile(v1); err != nil || string(got) != v1Line {
+				t.Errorf("v1 file changed or moved: %q %v", got, err)
+			}
+		})
 	}
 }
 

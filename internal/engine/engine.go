@@ -189,7 +189,7 @@ func (e *Engine) execDelete(tx *txn.Txn, s *sql.Delete, base *Env) (*Result, err
 		return nil, err
 	}
 	// Exclusive lock up front: read-then-write under one lock.
-	if err := tx.Lock(s.Table, txn.Exclusive); err != nil {
+	if err := tx.Lock(s.Table); err != nil {
 		return nil, err
 	}
 	var ids []storage.RowID
@@ -232,7 +232,7 @@ func (e *Engine) execUpdate(tx *txn.Txn, s *sql.Update, base *Env) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	if err := tx.Lock(s.Table, txn.Exclusive); err != nil {
+	if err := tx.Lock(s.Table); err != nil {
 		return nil, err
 	}
 	offsets := make([]int, len(s.Sets))
@@ -323,9 +323,6 @@ func (e *Engine) evalSelect(tx *txn.Txn, s *sql.Select, outer *Env) (*Result, er
 	fts := make([]fromTable, len(s.From))
 	froms := make([]*fromTable, len(s.From))
 	for i, ref := range s.From {
-		if err := tx.Lock(ref.Name, txn.Shared); err != nil {
-			return nil, err
-		}
 		tbl, err := e.Catalog().Get(ref.Name)
 		if err != nil {
 			return nil, err

@@ -22,7 +22,7 @@ func seedPlannerData(t *testing.T, seed int64) *Engine {
 		"CREATE TABLE regions (name STRING, tier INT, PRIMARY KEY (name))",
 		"CREATE TABLE users (id INT, region STRING, score INT, PRIMARY KEY (id))",
 		"CREATE TABLE orders (oid INT, uid INT, amount FLOAT, PRIMARY KEY (oid))",
-		"CREATE INDEX ON users (region)",           // unnamed hash
+		"CREATE INDEX ON users (region)",            // unnamed hash
 		"CREATE INDEX users_score ON users (score)", // named single-column → ordered
 		"CREATE INDEX orders_uid ON orders (uid)",   // named single-column → ordered
 	}

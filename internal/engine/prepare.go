@@ -60,12 +60,11 @@ type selectPlan struct {
 
 // fromPlan is the static part of a fromTable.
 type fromPlan struct {
-	ref      sql.TableRef
-	tbl      *storage.Table
-	binding  string
-	lockName string // canonical table name for LockCanonical
-	eqCols   []int
-	eqSrcs   []valueSrc
+	ref     sql.TableRef
+	tbl     *storage.Table
+	binding string
+	eqCols  []int
+	eqSrcs  []valueSrc
 	// Range pushdowns over an ordered-indexed column; bounds tighten at
 	// bind time (which of two parameterized bounds is tighter depends on
 	// the bound values).
@@ -176,8 +175,7 @@ func (p *Prepared) buildPlan() (*stmtPlan, error) {
 			return nil, err
 		}
 		sp.froms[i] = fromPlan{
-			ref: ref, tbl: tbl, binding: strings.ToLower(ref.Binding()),
-			lockName: strings.ToLower(ref.Name), rangeCol: -1,
+			ref: ref, tbl: tbl, binding: strings.ToLower(ref.Binding()), rangeCol: -1,
 		}
 	}
 	sp.conds = sql.Conjuncts(s.Where)
@@ -466,9 +464,6 @@ func (p *Prepared) execSelect(tx *txn.Txn, sp *selectPlan, params value.Tuple) (
 	exact := true
 	for i := range sp.froms {
 		fp := &sp.froms[i]
-		if err := tx.LockCanonical(fp.lockName, txn.Shared); err != nil {
-			return nil, err
-		}
 		ft := &fts[i]
 		eqVals := ft.eqVals[:0] // keep the scratch tuple's capacity
 		ids := ft.ids           // keep the reusable id buffer

@@ -24,17 +24,16 @@ import (
 // FuzzFrameDecode).
 //
 //	preamble: "YTP2" — sent once by the client immediately after connect.
-//	          The server auto-detects the codec from the first byte: '{'
-//	          selects the legacy line-delimited JSON codec, 'Y' this one.
+//	          Any other opening is answered with one errBadFrame frame and
+//	          the connection is closed.
 //	frame:    payload length (uint32 LE) | payload
 //	payload:  kind (1 byte) | correlation id (uvarint) | kind-specific body
 //
 // Integers are varints (int64 round-trips exactly — no float64 detour like
 // JSON), floats are 8 raw bytes, strings are length-prefixed, values are
 // tagged with the same tag bytes the WAL uses. Frames are typed by kind, so
-// asynchronous coordination events are structurally distinct from replies
-// and the legacy "id 0 means event" hack disappears. Result sets stream as a
-// header frame plus row-batch frames instead of one giant line.
+// asynchronous coordination events are structurally distinct from replies.
+// Result sets stream as a header frame plus row-batch frames.
 
 // v2Magic is the client's codec preamble.
 var v2Magic = [4]byte{'Y', 'T', 'P', '2'}
@@ -101,32 +100,6 @@ const (
 	errNotPrimary  = 4 // write/entangled statement on a read-only follower
 	errNotReady    = 5 // follower mid-resync; retry shortly (possibly elsewhere)
 )
-
-// adminCode maps the legacy admin command names onto v2 codes.
-func adminCode(name string) (byte, bool) {
-	switch name {
-	case "state":
-		return adminState, true
-	case "pending":
-		return adminPending, true
-	case "stats":
-		return adminStats, true
-	case "shards":
-		return adminShards, true
-	case "wal":
-		return adminWAL, true
-	case "txn":
-		return adminTxn, true
-	case "repl":
-		return adminRepl, true
-	case "promote":
-		return adminPromote, true
-	case "pool":
-		return adminPool, true
-	default:
-		return 0, false
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -432,7 +405,6 @@ func (f *frameBuf) appendAdminWAL(id uint64, st core.WALStats, durable bool) err
 		f.varint(int64(r.Segments))
 		f.bool(r.Torn)
 		f.varint(r.TornBytes)
-		f.bool(r.Migrated)
 		f.uvarint(uint64(len(st.Segments)))
 		for _, s := range st.Segments {
 			f.uvarint(s.Seq)
@@ -440,7 +412,6 @@ func (f *frameBuf) appendAdminWAL(id uint64, st core.WALStats, durable bool) err
 			f.varint(s.Bytes)
 			f.bool(s.Sealed)
 			f.bool(s.Snapshot)
-			f.bool(s.JSON)
 		}
 	}
 	return f.end()
@@ -710,8 +681,7 @@ func (r *frameReader) stats() (coord.StatsSnapshot, error) {
 
 // frameHeader peels kind and correlation id off a payload. The id is
 // best-effort recoverable even when the body later fails to decode, so error
-// replies can echo it (the legacy codec's unrecoverable-id problem, fixed
-// structurally).
+// replies can echo it.
 func frameHeader(payload []byte) (kind byte, id uint64, r frameReader, err error) {
 	r = frameReader{b: payload}
 	if kind, err = r.u8(); err != nil {
@@ -1119,9 +1089,6 @@ func decodeAdminBody(rp *reply, r *frameReader) (err error) {
 		if rec.TornBytes, err = r.varint(); err != nil {
 			return err
 		}
-		if rec.Migrated, err = r.bool(); err != nil {
-			return err
-		}
 		n, err := r.count()
 		if err != nil {
 			return err
@@ -1141,9 +1108,6 @@ func decodeAdminBody(rp *reply, r *frameReader) (err error) {
 				return err
 			}
 			if s.Snapshot, err = r.bool(); err != nil {
-				return err
-			}
-			if s.JSON, err = r.bool(); err != nil {
 				return err
 			}
 			rp.walStats.Segments = append(rp.walStats.Segments, s)

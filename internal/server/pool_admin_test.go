@@ -87,32 +87,3 @@ func TestAdminPoolDisabled(t *testing.T) {
 		t.Errorf("rendered: %q", text)
 	}
 }
-
-// TestLegacyAdminPool drives the legacy JSON codec's "pool" admin command.
-func TestLegacyAdminPool(t *testing.T) {
-	sys := core.NewSystem(core.Config{BufferPoolPages: 2})
-	if err := sys.Err(); err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if err := sys.Exec("CREATE TABLE History (id INT, body STRING, PRIMARY KEY (id));"); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Listen(sys, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	lc, err := DialLegacy(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	resp, err := lc.call(Request{Admin: "pool"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(resp.Text, "pool: frames=2") {
-		t.Errorf("legacy pool dump: %q", resp.Text)
-	}
-}

@@ -2,23 +2,22 @@
 // run in a separate process, as in the paper's three-tier deployment
 // (browser → middle tier → Youtopia).
 //
-// Two wire protocols share the listen port, auto-detected from the first
-// byte a client sends:
-//
-// # Wire protocol v2 (the default — Dial speaks it)
+// # Wire protocol v2
 //
 // Length-prefixed binary frames (see frame.go for the exact layout). The
 // client opens with the 4-byte preamble "YTP2", then both sides exchange
-// frames of `uint32 LE length | kind | correlation id (uvarint) | body`.
+// frames of `uint32 LE length | kind | correlation id (uvarint) | body`. A
+// connection that opens with anything else gets one kindError frame
+// (errBadFrame, "unrecognized protocol preamble") and is closed.
 // Frames are typed by kind — request, result header, row batch, entangled
 // ack, async event, typed admin response, error — so asynchronous
-// coordination events are structurally distinct from replies instead of
-// being flagged by a magic id. Many requests may be in flight on one
-// connection (pipelining/multiplexing); replies are correlated by id.
-// Values round-trip exactly: int64 is a varint on the wire, never a float64.
-// Result sets stream as a header frame plus row batches. Admin responses
-// are structured (coord.StatsSnapshot, []coord.ShardInfo,
-// []coord.PendingInfo, core.WALStats) and rendered client-side.
+// coordination events are structurally distinct from replies. Many requests
+// may be in flight on one connection (pipelining/multiplexing); replies are
+// correlated by id. Values round-trip exactly: int64 is a varint on the
+// wire, never a float64. Result sets stream as a header frame plus row
+// batches. Admin responses are structured (coord.StatsSnapshot,
+// []coord.ShardInfo, []coord.PendingInfo, core.WALStats, txn.Stats,
+// storage.PoolStats) and rendered client-side.
 //
 // Prepared statements (Client.Prepare → server.Stmt): kindPrepare ships a
 // statement's SQL text once and returns a per-connection statement id plus
@@ -31,32 +30,9 @@
 // to their connection and the table dies with it — a disconnect can never
 // leak server-side statements.
 //
-// # Legacy protocol (line-delimited JSON)
-//
-// A client whose first byte is '{' gets the original codec. One request per
-// line:
-//
-//	{"id": 1, "sql": "SELECT ...", "owner": "jerry"}
-//	{"id": 2, "cancel": 7}                  // cancel entangled query q7
-//	{"id": 3, "admin": "state"}             // state | pending | stats | shards | wal
-//
-// One response per line, correlated by id:
-//
-//	{"id": 1, "rows": [...], "cols": [...], "affected": n}      // plain SQL
-//	{"id": 1, "entangled": true, "query": 7}                    // registered
-//	{"id": 0, "event": "answer", "query": 7, "answers": [...]}  // async push
-//	{"id": 1, "error": "..."}
-//
-// Entangled answers arrive asynchronously as events, exactly like the
-// demo's Facebook notifications: the client submits, keeps working, and is
-// told later which flight it got.
-//
-// Legacy limitations (both fixed in v2): request lines are capped at 1 MiB
-// (the server now replies with an explicit error before closing instead of
-// dying silently), and integers round-trip through JSON float64 on the
-// client decode path, so values outside ±2^53 lose precision — an int64
-// like 1<<60+1 comes back rounded to the nearest representable float64.
-// The v2 codec carries int64 as a varint and is exact.
+// Entangled answers arrive asynchronously as kindEvent frames, exactly like
+// the demo's Facebook notifications: the client submits, keeps working, and
+// is told later which flight it got.
 package server
 
 import (
@@ -66,97 +42,9 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/storage"
-	"repro/internal/txn"
-	"repro/internal/value"
 )
 
-// legacyMaxLine caps one legacy JSON request line. The v2 framed protocol
-// has its own (larger) bound, maxFrameLen, with an explicit error frame.
-const legacyMaxLine = 1 << 20
-
-// Request is one legacy client → server message.
-type Request struct {
-	ID    uint64 `json:"id"`
-	SQL   string `json:"sql,omitempty"`
-	Owner string `json:"owner,omitempty"`
-	// Cancel withdraws the entangled query with the given server-side id.
-	Cancel uint64 `json:"cancel,omitempty"`
-	// Admin requests an introspection dump: "state", "pending", "stats",
-	// "shards" or "wal".
-	Admin string `json:"admin,omitempty"`
-}
-
-// Response is one legacy server → client message.
-type Response struct {
-	ID uint64 `json:"id"`
-	// Plain statement results.
-	Cols     []string `json:"cols,omitempty"`
-	Rows     [][]any  `json:"rows,omitempty"`
-	Affected int      `json:"affected,omitempty"`
-	// Entangled registration.
-	Entangled bool   `json:"entangled,omitempty"`
-	Query     uint64 `json:"query,omitempty"`
-	// Async coordination event ("answer" | "canceled").
-	Event     string       `json:"event,omitempty"`
-	Answers   []AnswerJSON `json:"answers,omitempty"`
-	MatchSize int          `json:"matchSize,omitempty"`
-	// Admin dump (plain text) and errors.
-	Text  string `json:"text,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// AnswerJSON is one answer relation's contribution in a legacy event.
-type AnswerJSON struct {
-	Relation string  `json:"relation"`
-	Tuples   [][]any `json:"tuples"`
-}
-
-// encodeTuple converts a value.Tuple to JSON-friendly values.
-func encodeTuple(t value.Tuple) []any {
-	out := make([]any, len(t))
-	for i, v := range t {
-		switch v.Type() {
-		case value.TypeNull:
-			out[i] = nil
-		case value.TypeInt:
-			out[i] = v.Int()
-		case value.TypeFloat:
-			out[i] = v.Float()
-		case value.TypeString:
-			out[i] = v.Str()
-		case value.TypeBool:
-			out[i] = v.Bool()
-		}
-	}
-	return out
-}
-
-// DecodeValue converts a JSON-decoded any back into a value.Value.
-// JSON numbers arrive as float64; integral floats become INTs, matching the
-// coercion rules of the value layer. This is the legacy codec's lossy step:
-// int64 values outside ±2^53 round to the nearest float64 (tested tolerance
-// — the v2 codec round-trips them exactly).
-func DecodeValue(x any) value.Value {
-	switch v := x.(type) {
-	case nil:
-		return value.Null
-	case bool:
-		return value.NewBool(v)
-	case float64:
-		if v == float64(int64(v)) {
-			return value.NewInt(int64(v))
-		}
-		return value.NewFloat(v)
-	case string:
-		return value.NewString(v)
-	default:
-		return value.Null
-	}
-}
-
-// renderShards formats per-lane diagnostics the way the admin surface always
-// has. The v2 client renders this client-side from []coord.ShardInfo; the
-// legacy server renders it server-side.
+// renderShards formats per-lane diagnostics one line per shard.
 func renderShards(shards []coord.ShardInfo) string {
 	var b strings.Builder
 	for _, si := range shards {
@@ -174,53 +62,10 @@ func renderWAL(st core.WALStats, durable bool) string {
 	return st.String()
 }
 
-// renderTxn formats the transaction/MVCC counters. Shared by both codecs:
-// the v2 client renders this client-side from txn.Stats, the legacy server
-// renders it server-side.
-func renderTxn(st txn.Stats) string {
-	return fmt.Sprintf(
-		"committed=%d aborted=%d timeouts=%d writeConflicts=%d gcReclaimed=%d\n",
-		st.Committed, st.Aborted, st.Timeouts, st.WriteConflicts, st.GCReclaimed)
-}
-
-// renderPool formats the buffer-pool snapshot (or its absence). Shared by
-// both codecs: the v2 client renders it client-side from storage.PoolStats.
+// renderPool formats the buffer-pool snapshot (or its absence).
 func renderPool(st storage.PoolStats, enabled bool) string {
 	if !enabled {
 		return "no buffer pool (fully in-memory storage)\n"
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "pool: frames=%d resident=%d dirty=%d hit-ratio=%.1f%% (hits=%d misses=%d) load-waits=%d evictions=%d writebacks=%d\n",
-		st.Capacity, st.Resident, st.Dirty, 100*st.HitRatio(), st.Hits, st.Misses, st.LoadWaits, st.Evictions, st.Writebacks)
-	if len(st.Shards) > 1 {
-		fmt.Fprintf(&b, "shards: %d\n", len(st.Shards))
-		for i, sh := range st.Shards {
-			fmt.Fprintf(&b, "  shard %-3d frames=%-4d resident=%-4d hits=%d misses=%d evictions=%d\n",
-				i, sh.Capacity, sh.Resident, sh.Hits, sh.Misses, sh.Evictions)
-		}
-	}
-	fmt.Fprintf(&b, "heap: spilled-tables=%d pinned-relations=%d pages=%d (%d KiB) free-pages=%d reclaimed=%d dead-slots=%d\n",
-		st.SpilledTables, st.PinnedTables, st.HeapPages, st.HeapPages*storage.PageSize/1024,
-		st.FreePages, st.ReclaimedPages, st.DeadSlots)
-	for _, t := range st.Tables {
-		fmt.Fprintf(&b, "  %-24s %d page(s)", t.Name, t.Pages)
-		if t.FreePages > 0 {
-			fmt.Fprintf(&b, "  free-pages=%d", t.FreePages)
-		}
-		if t.DeadSlots > 0 {
-			fmt.Fprintf(&b, "  dead-slots=%d", t.DeadSlots)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// renderPending formats the pending-query table the way the legacy "pending"
-// admin command always has.
-func renderPending(ps []coord.PendingInfo) string {
-	var b strings.Builder
-	for _, p := range ps {
-		fmt.Fprintf(&b, "q%d [%s] %s\n", p.ID, p.Owner, p.Logic)
-	}
-	return b.String()
+	return st.String()
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,10 +16,7 @@ import (
 )
 
 // Server accepts middle-tier connections and forwards their statements to a
-// core.System. Each connection speaks either the v2 framed binary protocol
-// or the legacy line-delimited JSON protocol; the codec is auto-detected
-// from the first byte the client sends ('{' selects legacy JSON, mirroring
-// the WAL's v1-adoption pattern).
+// core.System. Every connection speaks the v2 framed binary protocol.
 type Server struct {
 	sys *core.System
 	ln  net.Listener
@@ -94,7 +90,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// conn is the per-connection state shared by both codecs: one core.Session
+// conn is the per-connection state: one core.Session
 // (interactive transaction state), one context whose cancellation withdraws
 // the connection's still-pending entangled queries, and one writer goroutine
 // draining an outbound queue — request replies and asynchronous coordination
@@ -118,7 +114,6 @@ type conn struct {
 	dead        bool       // no further enqueues; writer drains and exits
 	kick        chan struct{}
 	wdone       chan struct{}
-	legacy      bool // codec of this connection (writer encodes events per codec)
 
 	// stmts is this connection's prepared-statement table: wire statement id
 	// → compiled artifact. Only the serve goroutine touches it (requests
@@ -175,7 +170,7 @@ func (cn *conn) put(it outItem) {
 }
 
 // throttle parks the reader while the outbound queue is over the high-water
-// mark. Called between requests from the serve loops only (never from
+// mark. Called between requests from the serve loop only (never from
 // delivery callbacks).
 func (cn *conn) throttle() {
 	cn.qmu.Lock()
@@ -214,8 +209,9 @@ func (cn *conn) writer() {
 		bufs := make(net.Buffers, 0, len(batch))
 		for _, it := range batch {
 			if it.ev != nil {
-				if b := cn.encodeEvent(&evBuf, *it.ev); b != nil {
-					bufs = append(bufs, b)
+				evBuf.reset()
+				if evBuf.appendEvent(*it.ev) == nil {
+					bufs = append(bufs, append([]byte(nil), evBuf.b...))
 				}
 				continue
 			}
@@ -233,22 +229,6 @@ func (cn *conn) writer() {
 			cn.c.Close()
 		}
 	}
-}
-
-// encodeEvent marshals one outcome in the connection's codec.
-func (cn *conn) encodeEvent(f *frameBuf, out coord.Outcome) []byte {
-	if cn.legacy {
-		b, err := json.Marshal(legacyEvent(out))
-		if err != nil {
-			return nil
-		}
-		return append(b, '\n')
-	}
-	f.reset()
-	if f.appendEvent(out) != nil {
-		return nil
-	}
-	return append([]byte(nil), f.b...)
 }
 
 // shutdownWriter flushes the queue (bounded by the write deadline set in
@@ -294,26 +274,12 @@ func (s *Server) handle(c net.Conn) {
 		cn.stmts = nil
 	}()
 
-	// Codec auto-detection: a v2 client's first byte is the preamble's 'Y';
-	// anything else — '{' from a legacy JSON client, or arbitrary garbage —
-	// is served by the legacy codec, which answers malformed lines with a
-	// JSON error (the pre-v2 contract).
-	br := bufio.NewReaderSize(c, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == v2Magic[0] {
-		cn.serveV2(br)
-		return
-	}
-	cn.legacy = true
-	cn.serveLegacy(br)
+	cn.serveV2(bufio.NewReaderSize(c, 64<<10))
 }
 
-// ---------------------------------------------------------------------------
-// v2 framed protocol
-
+// serveV2 checks the client's preamble — anything but "YTP2" is answered
+// with one errBadFrame frame and the connection closed — then serves frames
+// until the connection ends.
 func (cn *conn) serveV2(br *bufio.Reader) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != v2Magic {
@@ -505,8 +471,8 @@ func (cn *conn) reply(enc *frameBuf, req request, resp *core.Response, err error
 	}
 }
 
-// adminV2 answers the typed admin surface: structured snapshots, serialized
-// properly, replacing the legacy codec's fmt.Sprintf text dumps.
+// adminV2 answers the typed admin surface: structured snapshots, rendered
+// client-side.
 func (cn *conn) adminV2(enc *frameBuf, req request) {
 	sys := cn.srv.sys
 	switch req.admin {
@@ -536,130 +502,6 @@ func (cn *conn) adminV2(enc *frameBuf, req request) {
 		enc.appendAdminRepl(req.id, adminPromote, sys.ReplStatus()) //nolint:errcheck
 	default:
 		enc.appendError(req.id, errGeneric, fmt.Sprintf("unknown admin command %d", req.admin)) //nolint:errcheck
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Legacy line-delimited JSON protocol
-
-func (cn *conn) serveLegacy(br *bufio.Reader) {
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 64<<10), legacyMaxLine)
-	for {
-		cn.throttle() // see serveV2: error replies count against the queue too
-		if !sc.Scan() {
-			break
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			// Echo the request id when it is recoverable from the bad line,
-			// so a pipelining client can correlate the error instead of
-			// seeing an orphaned id-0 reply that resembles an async event.
-			var idOnly struct {
-				ID uint64 `json:"id"`
-			}
-			json.Unmarshal(line, &idOnly) //nolint:errcheck // best effort
-			cn.sendJSON(Response{ID: idOnly.ID, Error: fmt.Sprintf("bad request: %v", err)})
-			continue
-		}
-		cn.sendJSON(cn.dispatchLegacy(req))
-	}
-	if err := sc.Err(); err != nil {
-		// A too-long line used to kill the connection silently; now the
-		// client is told why before the close.
-		msg := fmt.Sprintf("request rejected: %v", err)
-		if errors.Is(err, bufio.ErrTooLong) {
-			msg = fmt.Sprintf("request line exceeds the %d-byte legacy limit; use the v2 framed protocol for large statements", legacyMaxLine)
-		}
-		cn.sendJSON(Response{Error: msg})
-	}
-}
-
-func (cn *conn) sendJSON(r Response) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	cn.enqueue(append(b, '\n'))
-}
-
-func legacyEvent(out coord.Outcome) Response {
-	ev := Response{Event: "answer", Query: out.QueryID, MatchSize: out.MatchSize}
-	if out.Canceled {
-		ev.Event = "canceled"
-	}
-	for _, a := range out.Answers {
-		aj := AnswerJSON{Relation: a.Relation}
-		for _, t := range a.Tuples {
-			aj.Tuples = append(aj.Tuples, encodeTuple(t))
-		}
-		ev.Answers = append(ev.Answers, aj)
-	}
-	return ev
-}
-
-func (cn *conn) dispatchLegacy(req Request) Response {
-	s := cn.srv
-	switch {
-	case req.Cancel != 0:
-		ok := s.sys.Cancel(req.Cancel)
-		if !ok {
-			return Response{ID: req.ID, Error: fmt.Sprintf("q%d is not pending", req.Cancel)}
-		}
-		return Response{ID: req.ID, Query: req.Cancel, Text: "canceled"}
-
-	case req.Admin != "":
-		switch req.Admin {
-		case "state":
-			return Response{ID: req.ID, Text: s.sys.Coordinator().DumpState()}
-		case "pending":
-			return Response{ID: req.ID, Text: renderPending(s.sys.Coordinator().Pending())}
-		case "stats":
-			st := s.sys.Coordinator().Stats()
-			return Response{ID: req.ID, Text: fmt.Sprintf("%+v", st)}
-		case "shards":
-			return Response{ID: req.ID, Text: renderShards(s.sys.Coordinator().Shards())}
-		case "wal":
-			st, ok := s.sys.WALStatsSnapshot()
-			return Response{ID: req.ID, Text: renderWAL(st, ok)}
-		case "txn":
-			return Response{ID: req.ID, Text: renderTxn(s.sys.TxnStats())}
-		case "pool":
-			st, ok := s.sys.PoolStats()
-			return Response{ID: req.ID, Text: renderPool(st, ok)}
-		default:
-			return Response{ID: req.ID, Error: fmt.Sprintf("unknown admin command %q", req.Admin)}
-		}
-
-	case req.SQL != "":
-		resp, err := cn.sess.ExecuteContext(cn.ctx, req.SQL, req.Owner)
-		if err != nil {
-			return Response{ID: req.ID, Error: err.Error()}
-		}
-		if resp.Entangled {
-			h := resp.Handle
-			// The writer queue replaces the old goroutine-per-event spawn;
-			// encoding happens on the writer goroutine, off the
-			// coordinator's locks.
-			h.Notify(func(out coord.Outcome) { cn.enqueueEvent(out) })
-			return Response{ID: req.ID, Entangled: true, Query: h.ID}
-		}
-		if resp.Result == nil {
-			// Transaction-control statements carry no result set.
-			return Response{ID: req.ID, Text: "OK"}
-		}
-		out := Response{ID: req.ID, Cols: resp.Result.Cols, Affected: resp.Result.Affected}
-		for _, row := range resp.Result.Rows {
-			out.Rows = append(out.Rows, encodeTuple(row))
-		}
-		return out
-
-	default:
-		return Response{ID: req.ID, Error: "empty request"}
 	}
 }
 

@@ -1,10 +1,15 @@
 package server
 
 import (
-	"encoding/json"
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -178,23 +183,54 @@ func TestAdminEndpoints(t *testing.T) {
 	if !strings.Contains(state, "Pending entangled queries (1)") {
 		t.Errorf("state = %q", state)
 	}
-	for _, cmd := range []string{"pending", "stats"} {
-		resp, err := c.call(Request{Admin: cmd})
-		if err != nil {
-			t.Fatalf("%s: %v", cmd, err)
-		}
-		if resp.Text == "" {
-			t.Errorf("%s: empty", cmd)
+	ctx := context.Background()
+	if pend, err := c.AdminPendingList(ctx); err != nil || len(pend) != 1 {
+		t.Errorf("pending = %+v, %v", pend, err)
+	}
+	if st, err := c.AdminStats(ctx); err != nil || st.Submitted == 0 {
+		t.Errorf("stats = %+v, %v", st, err)
+	}
+	for name, get := range map[string]func() (string, error){
+		"shards": c.AdminShards, "wal": c.AdminWAL, "txn": c.AdminTxn, "pool": c.AdminPool,
+	} {
+		if text, err := get(); err != nil || text == "" {
+			t.Errorf("%s: %q, %v", name, text, err)
 		}
 	}
-	if _, err := c.call(Request{Admin: "nope"}); err == nil {
-		t.Error("unknown admin command accepted")
+	if _, err := c.admin(ctx, 0xFF); err == nil || !strings.Contains(err.Error(), "unknown admin command") {
+		t.Errorf("unknown admin command: %v", err)
 	}
-	if _, err := c.call(Request{}); err == nil {
-		t.Error("empty request accepted")
+	if _, err := c.Query(""); err == nil || !strings.Contains(err.Error(), "empty request") {
+		t.Errorf("empty request: %v", err)
 	}
 }
 
+// readRawReplies reads server frames from conn until the server closes it —
+// EOF, or a reset when the server closed with our bytes still unread — and
+// decodes them.
+func readRawReplies(conn net.Conn) ([]reply, error) {
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	br := bufio.NewReader(conn)
+	var out []reply
+	for {
+		payload, err := readFrame(br, nil)
+		if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
+			return out, nil
+		}
+		if err != nil {
+			return out, fmt.Errorf("after %d frame(s): %w", len(out), err)
+		}
+		rp, err := decodeReply(payload)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rp)
+	}
+}
+
+// TestRawProtocolBadJSON: a line-delimited JSON request — the retired
+// codec — is not a v2 preamble; the server answers with one errBadFrame
+// frame naming the problem and closes the connection.
 func TestRawProtocolBadJSON(t *testing.T) {
 	_, addr := startServer(t)
 	conn, err := net.Dial("tcp", addr)
@@ -202,14 +238,80 @@ func TestRawProtocolBadJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write([]byte("this is not json\n")) //nolint:errcheck
-	dec := json.NewDecoder(conn)
-	var resp Response
-	if err := dec.Decode(&resp); err != nil {
+	conn.Write([]byte(`{"id":1,"sql":"SELECT fno FROM Flights"}` + "\n")) //nolint:errcheck
+	got, err := readRawReplies(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Error == "" {
-		t.Error("expected error response for bad JSON")
+	if len(got) != 1 || got[0].kind != kindError || got[0].errCode != errBadFrame ||
+		!strings.Contains(got[0].text, "unrecognized protocol preamble") {
+		t.Fatalf("replies = %+v, want one errBadFrame", got)
+	}
+}
+
+// TestWrongPreambleRejected: connections that open with anything but the
+// v2 preamble — a JSON request line, a single garbage byte left hanging,
+// two bytes and EOF — each get at most one errBadFrame frame before the
+// server closes them, and Server.Close still returns promptly, so no
+// handler goroutine is left behind.
+func TestWrongPreambleRejected(t *testing.T) {
+	srv, addr := startServer(t)
+	for _, tc := range []struct {
+		name     string
+		send     string
+		halfShut bool // close our write side after sending
+		hangs    bool // the server still waits for the rest of the preamble
+	}{
+		{name: "json-line", send: `{"id":1,"sql":"SELECT 1"}` + "\n"},
+		{name: "garbage-byte", send: "x", hangs: true},
+		{name: "short-then-eof", send: "YT", halfShut: true},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(tc.send)); err != nil {
+			t.Fatal(err)
+		}
+		if tc.halfShut {
+			conn.(*net.TCPConn).CloseWrite() //nolint:errcheck
+		}
+		done := make(chan struct{})
+		var got []reply
+		var rerr error
+		go func() {
+			defer close(done)
+			got, rerr = readRawReplies(conn)
+		}()
+		check := func() {
+			<-done
+			if rerr != nil {
+				t.Errorf("%s: %v", tc.name, rerr)
+			}
+			if len(got) > 1 {
+				t.Errorf("%s: %d frames, want at most one", tc.name, len(got))
+			}
+			for _, rp := range got {
+				if rp.kind != kindError || rp.errCode != errBadFrame {
+					t.Errorf("%s: reply %+v, want kindError/errBadFrame", tc.name, rp)
+				}
+			}
+		}
+		if tc.hangs {
+			// Only Server.Close below ends this connection.
+			defer check()
+			continue
+		}
+		check()
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close blocked: a connection handler did not exit")
 	}
 }
 

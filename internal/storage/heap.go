@@ -122,7 +122,7 @@ type osHeapFS struct{}
 func (osHeapFS) OpenFile(name string, flag int, perm os.FileMode) (HeapFile, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (osHeapFS) Remove(name string) error                   { return os.Remove(name) }
+func (osHeapFS) Remove(name string) error                     { return os.Remove(name) }
 func (osHeapFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
 func openHeapFile(fs HeapFS, dir, name string, pool *Pool) (*heapFile, error) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 )
 
@@ -490,6 +491,36 @@ type PoolTableInfo struct {
 	Pages     int    // heap pages currently holding data (sealed + tail)
 	FreePages int    // reclaimed pages on the heap's free list
 	DeadSlots uint64 // dead records still occupying the pages above
+}
+
+// String renders the snapshot as the admin surfaces show it: one pool line,
+// per-shard lines when the pool is sharded, one heap line, and one line per
+// spillable table.
+func (s PoolStats) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "pool: frames=%d resident=%d dirty=%d hit-ratio=%.1f%% (hits=%d misses=%d) load-waits=%d evictions=%d writebacks=%d\n",
+		s.Capacity, s.Resident, s.Dirty, 100*s.HitRatio(), s.Hits, s.Misses, s.LoadWaits, s.Evictions, s.Writebacks)
+	if len(s.Shards) > 1 {
+		fmt.Fprintf(&b, "shards: %d\n", len(s.Shards))
+		for i, sh := range s.Shards {
+			fmt.Fprintf(&b, "  shard %-3d frames=%-4d resident=%-4d hits=%d misses=%d evictions=%d\n",
+				i, sh.Capacity, sh.Resident, sh.Hits, sh.Misses, sh.Evictions)
+		}
+	}
+	fmt.Fprintf(&b, "heap: spilled-tables=%d pinned-relations=%d pages=%d (%d KiB) free-pages=%d reclaimed=%d dead-slots=%d\n",
+		s.SpilledTables, s.PinnedTables, s.HeapPages, s.HeapPages*PageSize/1024,
+		s.FreePages, s.ReclaimedPages, s.DeadSlots)
+	for _, t := range s.Tables {
+		fmt.Fprintf(&b, "  %-24s %d page(s)", t.Name, t.Pages)
+		if t.FreePages > 0 {
+			fmt.Fprintf(&b, "  free-pages=%d", t.FreePages)
+		}
+		if t.DeadSlots > 0 {
+			fmt.Fprintf(&b, "  dead-slots=%d", t.DeadSlots)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // HitRatio returns hits/(hits+misses), or 1 when the pool is untouched.

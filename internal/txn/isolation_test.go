@@ -68,7 +68,7 @@ func TestNoLostUpdates(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				err := m.RunAtomic(func(tx *Txn) error {
 					// Exclusive first: read-modify-write under one lock.
-					if err := tx.Lock("Counter", Exclusive); err != nil {
+					if err := tx.Lock("Counter"); err != nil {
 						return err
 					}
 					row, err := tx.Get("Counter", rowID)

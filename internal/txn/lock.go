@@ -9,8 +9,6 @@
 // checked first-committer-wins against the snapshot: a row changed by a
 // transaction that committed after the snapshot aborts the writer with
 // storage.ErrWriteConflict, which RunAtomic retries on a fresh snapshot.
-// The shared lock mode survives only behind the Manager.LockReads
-// compatibility knob (benchmarking the old lock-table design).
 //
 // The coordination component relies on this layer for the paper's central
 // atomicity guarantee: when a set of entangled queries matches, their answer
@@ -19,34 +17,17 @@
 // does — under MVCC the whole match becomes visible at a single commit
 // timestamp. Write-write deadlocks are resolved by lock-wait timeouts (the
 // victim aborts and the caller retries), and by offering sorted bulk
-// acquisition for callers — like the coordinator — that know their lock set
-// up front, which makes them deadlock-free by the ordered-resource argument.
+// acquisition (LockAll) for callers that know their lock set up front, which
+// makes them deadlock-free by the ordered-resource argument.
 package txn
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 )
-
-// LockMode distinguishes shared (read) from exclusive (write) table locks.
-type LockMode uint8
-
-// Lock modes.
-const (
-	Shared LockMode = iota
-	Exclusive
-)
-
-func (m LockMode) String() string {
-	if m == Exclusive {
-		return "X"
-	}
-	return "S"
-}
 
 // ErrLockTimeout is returned when a lock could not be acquired within the
 // manager's timeout; the transaction should abort and retry. Timeouts double
@@ -56,52 +37,34 @@ var ErrLockTimeout = errors.New("txn: lock wait timeout (possible deadlock)")
 // ErrTxnDone is returned when using a transaction after Commit or Rollback.
 var ErrTxnDone = errors.New("txn: transaction already finished")
 
-// tableLock is a writer-priority reader/writer lock supporting
-// per-transaction reentrancy and shared→exclusive upgrade when the holder is
-// the only reader. A parked exclusive request blocks NEW shared grants
-// (reentrant re-acquisition still succeeds), so a continuous stream of
-// readers cannot starve writers indefinitely.
+// tableLock is a reentrant exclusive lock: one transaction holds it at a
+// time, and re-acquisition by the holder succeeds immediately.
 type tableLock struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	readers map[uint64]int // txn id → hold count
-	writer  uint64         // txn id holding exclusive, 0 if none
-	wcount  int            // reentrant exclusive hold count
-	xwait   int            // exclusive acquisitions currently parked
+	mu     sync.Mutex
+	cond   *sync.Cond
+	holder uint64 // txn id holding the lock, 0 if none
 }
 
 func newTableLock() *tableLock {
-	l := &tableLock{readers: make(map[uint64]int)}
+	l := &tableLock{}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
 
-// acquire blocks until the lock is granted to txn id in the given mode or the
-// deadline passes. It supports reentrant acquisition and upgrades.
-func (l *tableLock) acquire(id uint64, mode LockMode, deadline time.Time) error {
+// acquire blocks until the lock is granted to txn id or the deadline passes.
+func (l *tableLock) acquire(id uint64, deadline time.Time) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if mode == Exclusive {
-		l.xwait++
-		defer func() {
-			l.xwait--
-			// Our departure (granted or timed out) may unblock parked readers.
-			l.cond.Broadcast()
-		}()
-	}
-
 	// A timer wakes all waiters periodically so deadline checks make progress
 	// without requiring per-waiter timers on the happy path.
-	for {
-		if l.granted(id, mode) {
-			l.take(id, mode)
-			return nil
-		}
+	for l.holder != 0 && l.holder != id {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return ErrLockTimeout
 		}
 		waitWithWake(l.cond, deadline)
 	}
+	l.holder = id
+	return nil
 }
 
 // waitWithWake waits on cond, arranging a broadcast at the deadline so the
@@ -120,92 +83,15 @@ func waitWithWake(cond *sync.Cond, deadline time.Time) {
 	t.Stop()
 }
 
-// granted reports whether txn id may take the lock in mode right now.
-// Caller holds l.mu.
-func (l *tableLock) granted(id uint64, mode LockMode) bool {
-	switch mode {
-	case Shared:
-		if l.writer == id {
-			return true // X subsumes S
-		}
-		if l.writer != 0 {
-			return false
-		}
-		if l.xwait > 0 {
-			// Writer priority: a parked X request fences off new readers, but
-			// a txn already holding S may re-enter (it cannot be the blocker
-			// of the parked X and must not deadlock on itself).
-			_, held := l.readers[id]
-			return held
-		}
-		return true
-	case Exclusive:
-		if l.writer == id {
-			return true // reentrant
-		}
-		if l.writer != 0 {
-			return false
-		}
-		// Upgrade allowed when we are the sole reader; fresh X needs no readers.
-		switch len(l.readers) {
-		case 0:
-			return true
-		case 1:
-			_, sole := l.readers[id]
-			return sole
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// take records the grant. Caller holds l.mu and granted() was true.
-func (l *tableLock) take(id uint64, mode LockMode) {
-	switch mode {
-	case Shared:
-		if l.writer == id {
-			l.wcount++ // S under X: count as another X hold for symmetric release
-			return
-		}
-		l.readers[id]++
-	case Exclusive:
-		if l.writer == id {
-			l.wcount++
-			return
-		}
-		// Upgrading sole reader: drop read holds into the write hold.
-		delete(l.readers, id)
-		l.writer = id
-		l.wcount = 1
-	}
-}
-
-// release drops one hold of txn id. Strict 2PL releases everything at
-// commit/abort, so release is only called from releaseAll.
-func (l *tableLock) releaseAll(id uint64) {
+// release drops txn id's hold. Strict 2PL releases everything at
+// commit/abort, so release is only called from Txn.finish.
+func (l *tableLock) release(id uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.writer == id {
-		l.writer = 0
-		l.wcount = 0
+	if l.holder == id {
+		l.holder = 0
 	}
-	delete(l.readers, id)
 	l.cond.Broadcast()
-}
-
-// holds reports whether txn id currently holds the lock in at least mode.
-func (l *tableLock) holds(id uint64, mode LockMode) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.writer == id {
-		return true
-	}
-	if mode == Shared {
-		_, ok := l.readers[id]
-		return ok
-	}
-	return false
 }
 
 // lockManager hands out tableLocks by canonical table name.
@@ -244,8 +130,4 @@ func sortedUnique(tables []string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func lockDesc(table string, mode LockMode) string {
-	return fmt.Sprintf("%s[%s]", table, mode)
 }

@@ -97,41 +97,26 @@ func TestUseAfterFinish(t *testing.T) {
 	}
 }
 
-func TestSharedLocksAllowConcurrentReaders(t *testing.T) {
-	m, _ := setup(t)
-	m.LockReads = true // exercise the compatibility lock table
-	tx1, tx2 := m.Begin(), m.Begin()
-	defer tx1.Rollback()
-	defer tx2.Rollback()
-	if err := tx1.Lock("Flights", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Lock("Flights", Shared); err != nil {
-		t.Fatalf("second reader blocked: %v", err)
-	}
-}
-
 func TestExclusiveBlocksUntilRelease(t *testing.T) {
 	m, _ := setup(t)
-	m.LockReads = true // under MVCC shared locks are a no-op; pin the lock table's S/X semantics
 	tx1 := m.Begin()
-	if err := tx1.Lock("Flights", Exclusive); err != nil {
+	if err := tx1.Lock("Flights"); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan error, 1)
 	go func() {
 		tx2 := m.Begin()
 		defer tx2.Rollback()
-		acquired <- tx2.Lock("Flights", Shared)
+		acquired <- tx2.Lock("Flights")
 	}()
 	select {
 	case <-acquired:
-		t.Fatal("reader acquired lock while writer held it")
+		t.Fatal("second writer acquired lock while the first held it")
 	case <-time.After(50 * time.Millisecond):
 	}
 	tx1.Commit()
 	if err := <-acquired; err != nil {
-		t.Fatalf("reader failed after release: %v", err)
+		t.Fatalf("second writer failed after release: %v", err)
 	}
 }
 
@@ -140,12 +125,12 @@ func TestLockTimeoutResolvesConflict(t *testing.T) {
 	m.LockTimeout = 50 * time.Millisecond
 	tx1 := m.Begin()
 	defer tx1.Rollback()
-	if err := tx1.Lock("Flights", Exclusive); err != nil {
+	if err := tx1.Lock("Flights"); err != nil {
 		t.Fatal(err)
 	}
 	tx2 := m.Begin()
 	defer tx2.Rollback()
-	if err := tx2.Lock("Flights", Exclusive); !errors.Is(err, ErrLockTimeout) {
+	if err := tx2.Lock("Flights"); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("expected ErrLockTimeout, got %v", err)
 	}
 	if m.Stats().Timeouts == 0 {
@@ -153,41 +138,36 @@ func TestLockTimeoutResolvesConflict(t *testing.T) {
 	}
 }
 
-func TestReentrantAndUpgrade(t *testing.T) {
+func TestReentrantLock(t *testing.T) {
 	m, _ := setup(t)
-	m.LockReads = true // exercise the compatibility lock table's upgrade path
+	m.LockTimeout = 50 * time.Millisecond
 	tx := m.Begin()
 	defer tx.Rollback()
-	if err := tx.Lock("Flights", Shared); err != nil {
+	if err := tx.Lock("Flights"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Lock("Flights", Shared); err != nil {
-		t.Fatal("reentrant shared failed")
+	// Re-acquisition by the holder, under any spelling of the name, succeeds
+	// at once.
+	for _, name := range []string{"Flights", "FLIGHTS", "flights"} {
+		if err := tx.Lock(name); err != nil {
+			t.Fatalf("reentrant Lock(%q): %v", name, err)
+		}
 	}
-	// Sole reader can upgrade.
-	if err := tx.Lock("Flights", Exclusive); err != nil {
-		t.Fatalf("upgrade failed: %v", err)
+	if err := tx.LockAll("flights", "Flights"); err != nil {
+		t.Fatalf("reentrant LockAll: %v", err)
 	}
-	// X subsumes S.
-	if err := tx.Lock("Flights", Shared); err != nil {
-		t.Fatalf("S under X failed: %v", err)
+	// The lock is still held exclusively: another transaction times out.
+	other := m.Begin()
+	defer other.Rollback()
+	if err := other.Lock("Flights"); !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("second transaction: %v, want ErrLockTimeout", err)
 	}
-	if !tx.Holds("Flights", Exclusive) {
-		t.Error("Holds(X) false after upgrade")
-	}
-}
-
-func TestUpgradeBlockedByOtherReader(t *testing.T) {
-	m, _ := setup(t)
-	m.LockReads = true // exercise the compatibility lock table
-	m.LockTimeout = 50 * time.Millisecond
-	tx1, tx2 := m.Begin(), m.Begin()
-	defer tx1.Rollback()
-	defer tx2.Rollback()
-	tx1.Lock("Flights", Shared)
-	tx2.Lock("Flights", Shared)
-	if err := tx1.Lock("Flights", Exclusive); !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("upgrade with other reader present: %v", err)
+	// One release frees every reentrant hold.
+	tx.Commit()
+	late := m.Begin()
+	defer late.Rollback()
+	if err := late.Lock("Flights"); err != nil {
+		t.Fatalf("lock after release: %v", err)
 	}
 }
 
@@ -212,7 +192,7 @@ func TestLockAllOrderedNoDeadlock(t *testing.T) {
 			names := []string{"D", "B", "A", "C"}
 			for i := 0; i < 20; i++ {
 				tx := m.Begin()
-				if err := tx.LockAll(nil, names); err != nil {
+				if err := tx.LockAll(names...); err != nil {
 					errs <- err
 					tx.Rollback()
 					return
@@ -246,7 +226,7 @@ func TestConcurrentTransfersAtomic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				err := m.RunAtomic(func(tx *Txn) error {
-					if err := tx.LockAll(nil, []string{"A", "B"}); err != nil {
+					if err := tx.LockAll("A", "B"); err != nil {
 						return err
 					}
 					// Move first row of A to B if any.
@@ -333,7 +313,7 @@ func TestRunAtomicRetriesTimeouts(t *testing.T) {
 	m, _ := setup(t)
 	m.LockTimeout = 30 * time.Millisecond
 	tx := m.Begin()
-	if err := tx.Lock("Flights", Exclusive); err != nil {
+	if err := tx.Lock("Flights"); err != nil {
 		t.Fatal(err)
 	}
 	// Release the blocker after one timeout period so a retry succeeds.
@@ -342,7 +322,7 @@ func TestRunAtomicRetriesTimeouts(t *testing.T) {
 		tx.Commit()
 	}()
 	err := m.RunAtomic(func(tx2 *Txn) error {
-		return tx2.Lock("Flights", Exclusive)
+		return tx2.Lock("Flights")
 	})
 	if err != nil {
 		t.Fatalf("RunAtomic did not recover via retry: %v", err)
@@ -382,7 +362,7 @@ func TestManyTablesStress(t *testing.T) {
 				ti := (g + i) % nt
 				tj := (g + i + 3) % nt
 				err := m.RunAtomic(func(tx *Txn) error {
-					if err := tx.LockAll(nil, []string{fmt.Sprintf("T%d", ti), fmt.Sprintf("T%d", tj)}); err != nil {
+					if err := tx.LockAll(fmt.Sprintf("T%d", ti), fmt.Sprintf("T%d", tj)); err != nil {
 						return err
 					}
 					_, err := tx.Insert(fmt.Sprintf("T%d", ti), value.NewTuple(i))

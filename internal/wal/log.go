@@ -1,3 +1,19 @@
+// Package wal gives the storage engine durability: a write-ahead log of
+// every applied mutation, replayed on startup to reconstruct the database.
+//
+// The on-disk format (v2, see Log) is a directory of binary segments —
+// length-prefixed, CRC32C-checksummed records, size-based rotation,
+// group-committed fsyncs, background compaction of sealed segments, and
+// parallel torn-tail-tolerant recovery. The original single-file JSON
+// format (v1) is no longer read: OpenLog refuses it with ErrV1Log.
+//
+// The log is *physical-redo* style: every mutation is appended in apply
+// order, and rolled-back transactions appear as their operations followed
+// by the undo machinery's compensating operations, so a full replay always
+// converges to the exact pre-crash logical state. Coordination state (the
+// pending-query tables) is deliberately volatile, like the demo system:
+// pending entangled queries belong to live sessions; installed answers live
+// in ordinary tables and are durable.
 package wal
 
 import (
@@ -11,11 +27,10 @@ import (
 	"repro/internal/storage"
 )
 
-// Log is the segmented, group-committing write-ahead log (format v2). It
-// replaces the single JSON file of the original WAL:
+// Log is the segmented, group-committing write-ahead log (format v2):
 //
-//   - Records are length-prefixed, CRC32C-checksummed binary frames instead
-//     of JSON lines (see binary.go).
+//   - Records are length-prefixed, CRC32C-checksummed binary frames (see
+//     binary.go).
 //   - The log is a directory of segment files. The active segment rotates at
 //     Options.SegmentBytes; rotation fsyncs and seals the old segment, so
 //     everything below the tail is immutable.
@@ -26,10 +41,6 @@ import (
 //     across every lane that reached the log during the previous flush.
 //   - Sealed segments are compacted — rewritten as one snapshot segment —
 //     without quiescing writers, because appends only ever touch the tail.
-//
-// A legacy single-file JSON log found at the directory path is migrated in
-// place: the file becomes segment 1 (readable by recovery as-is) and new
-// binary segments grow behind it; the next compaction absorbs it.
 type Log struct {
 	dir  string
 	opts Options
@@ -139,17 +150,24 @@ type RecoveryInfo struct {
 	Segments  int   // segment files replayed
 	Torn      bool  // the tail segment had a torn final record
 	TornBytes int64 // bytes truncated from the tail
-	Migrated  bool  // a legacy JSON log was adopted as segment 1
 }
 
 // ErrLogClosed is returned by operations on a closed Log.
 var ErrLogClosed = errors.New("wal: log is closed")
 
-// OpenLog opens (creating or migrating as needed) the segmented log rooted
-// at dir, replays every segment into cat, truncates a torn tail, and leaves
-// the log ready for appending. Sealed segments are decoded in parallel and
-// applied in segment order. If dir names a legacy single-file JSON log, the
-// file is adopted as segment 1 first.
+// ErrV1Log is returned (wrapped with the offending path) by OpenLog when it
+// finds a log in the retired v1 JSON format: a single file at the log path,
+// a NNNNNNNN.json segment in the directory, or the <dir>.legacy file an
+// interrupted v1 migration leaves behind. OpenLog touches none of them.
+var ErrV1Log = errors.New("wal: v1 JSON log")
+
+// v1Hint tells the operator how to upgrade a v1 log.
+const v1Hint = "open it once with a build at or before 8bbaef8, which migrates it, then checkpoint"
+
+// OpenLog opens (creating as needed) the segmented log rooted at dir,
+// replays every segment into cat, truncates a torn tail, and leaves the log
+// ready for appending. Sealed segments are decoded in parallel and applied
+// in segment order. A v1 JSON log is refused with ErrV1Log.
 func OpenLog(dir string, cat *storage.Catalog, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -174,41 +192,49 @@ func OpenLog(dir string, cat *storage.Catalog, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// prepareDir ensures l.dir is a log directory, migrating a legacy JSON file
-// log in place. Migration is a rename chain — file → dir/00000001.json —
-// where every step is atomic and resumable after a crash.
+// prepareDir ensures l.dir is a log directory, refusing a v1 log.
 func (l *Log) prepareDir() error {
-	legacy := l.dir + ".legacy"
-	if fi, err := l.fs.Stat(l.dir); err == nil && !fi.IsDir() {
-		// A legacy JSON log: move it aside, make the directory.
-		if err := l.fs.Rename(l.dir, legacy); err != nil {
-			return err
-		}
-	} else if err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := l.refuseV1(); err != nil {
 		return err
 	}
 	if err := l.fs.MkdirAll(l.dir, 0o755); err != nil {
 		return err
 	}
-	if _, err := l.fs.Stat(legacy); err == nil {
-		dst := filepath.Join(l.dir, jsonName(1))
-		if _, err := l.fs.Stat(dst); err == nil {
-			return fmt.Errorf("wal: migration conflict: both %s and %s exist", legacy, dst)
-		}
-		// Make the adopted segment durable before the rename publishes it.
-		if f, err := l.fs.OpenFile(legacy, os.O_RDONLY, 0); err == nil {
-			f.Sync() //nolint:errcheck // best effort; the data survived this long
-			f.Close()
-		}
-		if err := l.fs.Rename(legacy, dst); err != nil {
-			return err
-		}
-		l.recovered.Migrated = true
-	}
 	if err := l.fs.SyncDir(filepath.Dir(l.dir)); err != nil {
 		return err
 	}
 	return l.fs.SyncDir(l.dir)
+}
+
+// refuseV1 returns ErrV1Log if any trace of a v1 JSON log is at l.dir. It
+// only stats and lists; nothing is opened, renamed or removed.
+func (l *Log) refuseV1() error {
+	v1 := func(path string) error {
+		return fmt.Errorf("%w at %s: %s", ErrV1Log, path, v1Hint)
+	}
+	fi, err := l.fs.Stat(l.dir)
+	switch {
+	case err == nil && !fi.IsDir():
+		return v1(l.dir)
+	case err != nil && !errors.Is(err, os.ErrNotExist):
+		return err
+	}
+	if _, err := l.fs.Stat(l.dir + ".legacy"); err == nil {
+		return v1(l.dir + ".legacy")
+	}
+	if err != nil {
+		return nil // no directory yet: a fresh log
+	}
+	ents, err := l.fs.ReadDir(l.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if _, ok := parseSeq(e.Name(), ".json"); ok && !e.IsDir() {
+			return v1(filepath.Join(l.dir, e.Name()))
+		}
+	}
+	return nil
 }
 
 // recover replays the segments into cat and opens the active segment.
@@ -265,16 +291,11 @@ func (l *Log) recover(cat *storage.Catalog) error {
 			return fmt.Errorf("wal: segment %s: %w", filepath.Base(segs[i].Path), d.err)
 		}
 		if d.torn {
-			switch {
-			case segs[i].JSON:
-				// The legacy writer could always crash mid-line; its torn
-				// tail is tolerated wherever the file sits in the chain.
-			case last:
-				l.recovered.Torn = true
-				l.recovered.TornBytes = segs[i].Bytes - d.good
-			default:
+			if !last {
 				return fmt.Errorf("wal: sealed segment %s is torn at byte %d", filepath.Base(segs[i].Path), d.good)
 			}
+			l.recovered.Torn = true
+			l.recovered.TornBytes = segs[i].Bytes - d.good
 		}
 		for n, rec := range d.recs {
 			if err := apply(rec); err != nil {
@@ -289,11 +310,11 @@ func (l *Log) recover(cat *storage.Catalog) error {
 		l.fs.Remove(p) //nolint:errcheck // best effort; ignored by future recoveries anyway
 	}
 
-	// Open the tail for appending. A binary, non-snapshot tail is truncated
-	// past its last good record and continued; a JSON or snapshot tail is
-	// sealed and a fresh segment started.
+	// Open the tail for appending. A non-snapshot tail is truncated past its
+	// last good record and continued; a snapshot tail is sealed and a fresh
+	// segment started.
 	reuse := -1
-	if n := len(segs); n > 0 && !segs[n-1].JSON && !decoded[n-1].snapshot {
+	if n := len(segs); n > 0 && !decoded[n-1].snapshot {
 		reuse = n - 1
 	}
 	for i, s := range segs {
@@ -781,7 +802,7 @@ func (l *Log) compactSegments(segs []SegmentInfo) error {
 		if d.err != nil {
 			return fmt.Errorf("wal: compact: segment %s: %w", filepath.Base(s.Path), d.err)
 		}
-		if d.torn && !s.JSON {
+		if d.torn {
 			return fmt.Errorf("wal: compact: sealed segment %s is torn", filepath.Base(s.Path))
 		}
 		for _, rec := range d.recs {
@@ -803,7 +824,7 @@ func (l *Log) compactSegments(segs []SegmentInfo) error {
 		info.HeapPages = ps.HeapPages
 	}
 	for _, s := range segs {
-		if s.Seq == last.Seq && !s.JSON {
+		if s.Seq == last.Seq {
 			continue // replaced by the snapshot via rename
 		}
 		l.fs.Remove(s.Path) //nolint:errcheck // stale; recovery ignores leftovers

@@ -1,11 +1,13 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -397,112 +399,75 @@ func TestAutoCompactInBackground(t *testing.T) {
 	}
 }
 
-func TestMigrationFromLegacyJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "y.wal")
+// v1Line is one record of the retired v1 JSON log format.
+const v1Line = `{"op":"create","table":"T","schema":[{"name":"fno","type":"INT"}]}` + "\n"
 
-	// First life: the original JSON WAL.
-	cat := storage.NewCatalog()
-	w, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat.SetLog(func(r storage.LogRecord) { w.Append(r) }) //nolint:errcheck
-	tbl, err := cat.Create("T", flightsSchema(), "fno")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.Insert(value.NewTuple(1, "Paris")) //nolint:errcheck
-	tbl.Insert(value.NewTuple(2, "Rome"))  //nolint:errcheck
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second life: the segmented log migrates the file in place.
-	l, cat2 := openLog(t, path, Options{})
-	if !l.Recovered().Migrated {
-		t.Error("migration not reported")
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("path is not a directory after migration: %v %v", fi, err)
-	}
-	if _, err := os.Stat(filepath.Join(path, jsonName(1))); err != nil {
-		t.Errorf("adopted JSON segment missing: %v", err)
-	}
-	attach(cat2, l)
-	tbl2, err := cat2.Get("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.Len() != 2 {
-		t.Fatalf("migrated rows = %d", tbl2.Len())
-	}
-	// New records land in a binary segment behind the JSON one.
-	if _, err := tbl2.Insert(value.NewTuple(3, "Oslo")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Third life: mixed JSON + binary chain replays in order.
-	l3, cat3 := openLog(t, path, Options{})
-	tbl3, err := cat3.Get("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl3.Len() != 3 {
-		t.Fatalf("mixed-chain rows = %d", tbl3.Len())
-	}
-	// Compaction absorbs the JSON segment.
-	if err := l3.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(path, jsonName(1))); !os.IsNotExist(err) {
-		t.Errorf("JSON segment survived compaction: %v", err)
-	}
-	if err := l3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l4, cat4 := openLog(t, path, Options{})
-	defer l4.Close()
-	tbl4, err := cat4.Get("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl4.Len() != 3 {
-		t.Errorf("post-compaction rows = %d", tbl4.Len())
+// TestOpenLogRefusesV1: each on-disk trace of a v1 JSON log — a file at the
+// log path, a NNNNNNNN.json segment in the directory, a <dir>.legacy file
+// left by an interrupted migration — is refused with ErrV1Log, and the v1
+// file is left byte-identical where it was.
+func TestOpenLogRefusesV1(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// setup lays out the v1 state for log dir and returns the v1 file.
+		setup func(t *testing.T, dir string) string
+	}{
+		{"file-at-path", func(t *testing.T, dir string) string {
+			return dir
+		}},
+		{"json-segment", func(t *testing.T, dir string) string {
+			l, cat := openLog(t, dir, Options{})
+			attach(cat, l)
+			cat.Create("T", flightsSchema()) //nolint:errcheck
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return filepath.Join(dir, "00000001.json")
+		}},
+		{"legacy-leftover", func(t *testing.T, dir string) string {
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return dir + ".legacy"
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "y.wal")
+			v1 := tc.setup(t, dir)
+			if err := os.WriteFile(v1, []byte(v1Line), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadDir(filepath.Dir(v1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = OpenLog(dir, storage.NewCatalog(), Options{})
+			if !errors.Is(err, ErrV1Log) {
+				t.Fatalf("OpenLog = %v, want ErrV1Log", err)
+			}
+			if !strings.Contains(err.Error(), v1) || !strings.Contains(err.Error(), "8bbaef8") {
+				t.Errorf("error lacks the path or the upgrade hint: %v", err)
+			}
+			if got, err := os.ReadFile(v1); err != nil || string(got) != v1Line {
+				t.Errorf("v1 file changed: %q %v", got, err)
+			}
+			after, err := os.ReadDir(filepath.Dir(v1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(names(after)) != fmt.Sprint(names(before)) {
+				t.Errorf("directory changed: %v -> %v", names(before), names(after))
+			}
+		})
 	}
 }
 
-// TestMigrationTornJSONTail: a legacy log that crashed mid-append migrates
-// cleanly — the torn line is dropped exactly as Recover dropped it.
-func TestMigrationTornJSONTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "y.wal")
-	cat := storage.NewCatalog()
-	w, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+func names(ents []os.DirEntry) []string {
+	out := make([]string, len(ents))
+	for i, e := range ents {
+		out[i] = e.Name()
 	}
-	cat.SetLog(func(r storage.LogRecord) { w.Append(r) }) //nolint:errcheck
-	tbl, _ := cat.Create("T", flightsSchema())
-	tbl.Insert(value.NewTuple(1, "a")) //nolint:errcheck
-	w.Close()                          //nolint:errcheck
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"op":"insert","table":"T","rid":2,"row":[{"t":"i","i"`) //nolint:errcheck
-	f.Close()
-
-	l, cat2 := openLog(t, path, Options{})
-	defer l.Close()
-	tbl2, err := cat2.Get("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.Len() != 1 {
-		t.Errorf("rows = %d", tbl2.Len())
-	}
+	return out
 }
 
 // TestInterruptedCompactionRecovers: a snapshot was published but the stale
@@ -613,8 +578,12 @@ func TestCompactRotationDrainsParkedAppends(t *testing.T) {
 	l, _ := openLog(t, dir, Options{SegmentBytes: 256})
 	defer l.Close()
 
-	rec := storage.LogRecord{Op: storage.OpInsert, Table: "T", RowID: 1,
-		Row: value.NewTuple(1, "payload payload payload")}
+	// Compaction replays what it absorbs, so the records must replay: the
+	// table exists before any insert, and every insert has its own row id.
+	if err := l.Append(storage.LogRecord{Op: storage.OpCreateTable, Table: "T", Schema: flightsSchema()}); err != nil {
+		t.Fatal(err)
+	}
+	var rowID atomic.Uint64
 
 	const writers, each = 4, 200
 	var wg sync.WaitGroup
@@ -623,6 +592,8 @@ func TestCompactRotationDrainsParkedAppends(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
+				rec := storage.LogRecord{Op: storage.OpInsert, Table: "T",
+					RowID: storage.RowID(rowID.Add(1)), Row: value.NewTuple(1, "payload payload payload")}
 				if err := l.Append(rec); err != nil {
 					t.Error(err)
 					return
@@ -645,8 +616,8 @@ func TestCompactRotationDrainsParkedAppends(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("appenders deadlocked: a commit generation parked during Compact's rotation window was never drained")
 	}
-	if got := l.Stats().Records; got != writers*each {
-		t.Fatalf("records = %d, want %d", got, writers*each)
+	if got := l.Stats().Records; got != writers*each+1 {
+		t.Fatalf("records = %d, want %d", got, writers*each+1)
 	}
 }
 

@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,18 +15,47 @@ import (
 
 func tmpWAL(t *testing.T) string {
 	t.Helper()
-	return filepath.Join(t.TempDir(), "youtopia.wal")
+	return filepath.Join(t.TempDir(), "wal")
 }
 
-func loggedCatalog(t *testing.T, path string) (*storage.Catalog, *WAL) {
+// loggedCatalog opens a fresh log at dir and wires every catalog mutation
+// into it.
+func loggedCatalog(t *testing.T, dir string) (*storage.Catalog, *Log) {
+	t.Helper()
+	l, cat := openLog(t, dir, Options{})
+	attach(cat, l)
+	return cat, l
+}
+
+// recoverLog reopens the log at dir into a fresh catalog and closes it.
+func recoverLog(t *testing.T, dir string) (*storage.Catalog, RecoveryInfo, error) {
 	t.Helper()
 	cat := storage.NewCatalog()
-	w, err := Open(path)
+	l, err := OpenLog(dir, cat, Options{})
+	if err != nil {
+		return cat, RecoveryInfo{}, err
+	}
+	info := l.Recovered()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return cat, info, nil
+}
+
+// appendFrame appends one framed payload, with a valid CRC, to the single
+// segment of the log at dir.
+func appendFrame(t *testing.T, dir string, payload []byte) {
+	t.Helper()
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+	f, err := os.OpenFile(filepath.Join(dir, segName(1)), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat.SetLog(func(r storage.LogRecord) { w.Append(r) }) //nolint:errcheck
-	return cat, w
+	defer f.Close()
+	if _, err := f.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func flightsSchema() *value.Schema {
@@ -31,10 +63,13 @@ func flightsSchema() *value.Schema {
 }
 
 func TestRecoverMissingFile(t *testing.T) {
-	cat := storage.NewCatalog()
-	n, err := Recover(filepath.Join(t.TempDir(), "absent.wal"), cat)
-	if err != nil || n != 0 {
-		t.Fatalf("n=%d err=%v", n, err)
+	dir := filepath.Join(t.TempDir(), "absent")
+	cat, info, err := recoverLog(t, dir)
+	if err != nil || info.Records != 0 || len(cat.Names()) != 0 {
+		t.Fatalf("records=%d tables=%v err=%v", info.Records, cat.Names(), err)
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("log directory not created: %v", err)
 	}
 }
 
@@ -59,13 +94,12 @@ func TestLogAndRecoverRoundTrip(t *testing.T) {
 	}
 
 	// Recover into a fresh catalog.
-	cat2 := storage.NewCatalog()
-	n, err := Recover(path, cat2)
+	cat2, info, err := recoverLog(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 7 { // create, index, ins, ins, upd, ins, del
-		t.Errorf("applied %d records", n)
+	if info.Records != 7 { // create, index, ins, ins, upd, ins, del
+		t.Errorf("applied %d records", info.Records)
 	}
 	tbl2, err := cat2.Get("Flights")
 	if err != nil {
@@ -107,8 +141,8 @@ func TestRecoverDrop(t *testing.T) {
 	cat.Drop("Tmp")                     //nolint:errcheck
 	cat.Create("Keep", flightsSchema()) //nolint:errcheck
 	w.Close()                           //nolint:errcheck
-	cat2 := storage.NewCatalog()
-	if _, err := Recover(path, cat2); err != nil {
+	cat2, _, err := recoverLog(t, path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if cat2.Has("Tmp") || !cat2.Has("Keep") {
@@ -124,21 +158,21 @@ func TestTornFinalRecordTolerated(t *testing.T) {
 	tbl.Insert(value.NewTuple(1, "a")) //nolint:errcheck
 	w.Close()                          //nolint:errcheck
 
-	// Simulate a crash mid-append: a torn, non-JSON tail.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	// Simulate a crash mid-append: a frame header promising more payload
+	// than ever reached the file.
+	f, err := os.OpenFile(filepath.Join(path, segName(1)), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"op":"insert","table":"T","rid":2,"row":[{"t":"i","i"`) //nolint:errcheck
+	f.Write([]byte{40, 0, 0, 0, 1, 2, 3, 4, 5, 6}) //nolint:errcheck
 	f.Close()
 
-	cat2 := storage.NewCatalog()
-	n, err := Recover(path, cat2)
+	cat2, info, err := recoverLog(t, path)
 	if err != nil {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}
-	if n != 2 {
-		t.Errorf("applied %d", n)
+	if info.Records != 2 || !info.Torn || info.TornBytes != 10 {
+		t.Errorf("recovery = %+v", info)
 	}
 	tbl2, _ := cat2.Get("T")
 	if tbl2.Len() != 1 {
@@ -146,18 +180,23 @@ func TestTornFinalRecordTolerated(t *testing.T) {
 	}
 }
 
+// TestMidFileCorruptionFailsRecovery: a checksum-valid frame whose payload
+// does not decode is corruption, never a torn write — recovery refuses even
+// with valid records after it.
 func TestMidFileCorruptionFailsRecovery(t *testing.T) {
 	path := tmpWAL(t)
 	cat, w := loggedCatalog(t, path)
 	cat.Create("T", flightsSchema()) //nolint:errcheck
 	w.Close()                        //nolint:errcheck
 
-	data, _ := os.ReadFile(path)
-	corrupted := "GARBAGE NOT JSON\n" + string(data)
-	os.WriteFile(path, []byte(corrupted), 0o644) //nolint:errcheck
+	appendFrame(t, path, []byte{5, 200}) // insert op, truncated table name
+	valid, err := appendRecordPayload(nil, storage.LogRecord{Op: storage.OpDropTable, Table: "T"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFrame(t, path, valid)
 
-	cat2 := storage.NewCatalog()
-	if _, err := Recover(path, cat2); err == nil {
+	if _, err := OpenLog(path, storage.NewCatalog(), Options{}); err == nil {
 		t.Error("mid-file corruption not detected")
 	}
 }
@@ -179,8 +218,8 @@ func TestValueTaggedRoundTrip(t *testing.T) {
 	}
 	w.Close() //nolint:errcheck
 
-	cat2 := storage.NewCatalog()
-	if _, err := Recover(path, cat2); err != nil {
+	cat2, _, err := recoverLog(t, path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tbl2, _ := cat2.Get("V")
@@ -209,8 +248,8 @@ func TestRolledBackTxnConvergesOnReplay(t *testing.T) {
 	tbl.RestoreAt(keep, old) //nolint:errcheck
 	w.Close()                //nolint:errcheck
 
-	cat2 := storage.NewCatalog()
-	if _, err := Recover(path, cat2); err != nil {
+	cat2, _, err := recoverLog(t, path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tbl2, _ := cat2.Get("T")
@@ -223,28 +262,65 @@ func TestRolledBackTxnConvergesOnReplay(t *testing.T) {
 	}
 }
 
-func TestAppendAfterCloseSticks(t *testing.T) {
-	path := tmpWAL(t)
-	w, err := Open(path)
+// failingFS fails every segment write once armed.
+type failingFS struct {
+	FS
+	armed *bool
+}
+
+func (f failingFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
 	if err != nil {
+		return nil, err
+	}
+	return failingFile{File: file, armed: f.armed}, nil
+}
+
+type failingFile struct {
+	File
+	armed *bool
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (f failingFile) Write(p []byte) (int, error) {
+	if *f.armed {
+		return 0, errDiskFull
+	}
+	return f.File.Write(p)
+}
+
+// TestAppendAfterCloseSticks: the first write error is sticky — every later
+// Append returns it and Err reports it — and Close surfaces it too.
+func TestAppendAfterCloseSticks(t *testing.T) {
+	armed := false
+	l, _ := openLog(t, tmpWAL(t), Options{FS: failingFS{FS: OSFS(), armed: &armed}})
+	rec := storage.LogRecord{Op: storage.OpDropTable, Table: "x"}
+	if err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
+	armed = true
+	if err := l.Append(rec); !errors.Is(err, errDiskFull) {
+		t.Fatalf("append on failing disk: %v", err)
 	}
-	w.Close() //nolint:errcheck
-	if err := w.Append(storage.LogRecord{Op: storage.OpDropTable, Table: "x"}); err == nil {
-		t.Error("append after close succeeded")
+	armed = false
+	if err := l.Append(rec); !errors.Is(err, errDiskFull) {
+		t.Errorf("error not sticky: %v", err)
 	}
-	if w.Err() == nil {
-		t.Error("sticky error not set")
+	if !errors.Is(l.Err(), errDiskFull) {
+		t.Errorf("Err = %v", l.Err())
+	}
+	if err := l.Close(); !errors.Is(err, errDiskFull) {
+		t.Errorf("Close = %v", err)
 	}
 }
 
 func TestRecoverUnknownOp(t *testing.T) {
 	path := tmpWAL(t)
-	os.WriteFile(path, []byte(`{"op":"explode","table":"T"}`+"\n{}\n"), 0o644) //nolint:errcheck
-	if _, err := Recover(path, storage.NewCatalog()); err == nil || !strings.Contains(err.Error(), "unknown op") {
+	_, w := loggedCatalog(t, path)
+	w.Close() //nolint:errcheck
+	appendFrame(t, path, append([]byte{200}, storage.AppendString(nil, "T")...))
+	if _, err := OpenLog(path, storage.NewCatalog(), Options{}); err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Errorf("err = %v", err)
 	}
 }
